@@ -14,7 +14,7 @@ Runs the campaign layer (:mod:`repro.sim.campaign`) end to end:
 4. optionally gate the run: ``--require-recall 1.0`` exits non-zero
    unless every always-detectable scenario was caught every time.
 
-With ``--workers K`` the campaign is sharded across a multiprocess
+With ``--workers K`` the campaign runs on a work-stealing multiprocess
 pool; the merged result (and trace) is bit-identical to the
 single-process run of the same seed — CI's campaign-smoke job compares
 the two byte for byte.
@@ -59,8 +59,9 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0,
                         help="master seed (default: 0)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes; the campaign is split into "
-                             "that many deterministic shards (default: 1)")
+                        help="worker processes pulling work-stealing "
+                             "units off a shared queue; the merged result "
+                             "is bit-identical to --workers 1 (default: 1)")
     parser.add_argument("--trace", metavar="PATH", default=None,
                         help="write the merged per-journey JSONL trace "
                              "here (ground truth + verdicts included)")

@@ -37,9 +37,11 @@ production-scale machinery and emits a schema-versioned
 job runs only the sections it gates).
 
 The emitted report carries environment metadata so recorded numbers are
-comparable across machines, and :func:`compare_to_baseline` implements
-the CI regression gate: throughput must not fall more than a configured
-fraction below the committed baseline.
+comparable across machines.  :data:`GATES` lists every number the CI
+perf gate holds — throughput against the committed baseline within a
+configured fraction, plus the absolute CLI floors — and
+:func:`evaluate_gates` (with :func:`compare_to_baseline` as its
+baseline-only form) evaluates it.
 """
 
 from __future__ import annotations
@@ -53,10 +55,16 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from random import Random
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.agents.state import encoding_cache_stats
 from repro.bench.metrics import TimingBreakdown, TimingCollector
+from repro.bench.tables import (
+    format_backend_table,
+    format_cluster_table,
+    format_service_table,
+    metric_cell,
+)
 from repro.core.protocol import ReferenceStateProtocol
 from repro.crypto.backend import (
     available_backends,
@@ -88,6 +96,9 @@ __all__ = [
     "bench_cluster",
     "bench_chaos",
     "build_report",
+    "Gate",
+    "GATES",
+    "evaluate_gates",
     "compare_to_baseline",
     "format_speedup_warning",
     "main",
@@ -1319,6 +1330,222 @@ def build_report(
     return report
 
 
+# ---------------------------------------------------------------------------
+# Regression gates
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One row of :data:`GATES`: a report number that must hold.
+
+    ``metric`` is a dotted path into ``report["benchmarks"][section]``
+    whose one optional ``*`` spans every key found there; ``label``
+    names the metric in messages, with that key in place of its ``*``.
+    A row without a ``floor`` is baseline-relative: the value may trail
+    the baseline's by at most ``max_regression`` in the ``better``
+    direction (``"higher"``/``"lower"``).  Otherwise ``floor`` is a
+    fixed threshold or the name of the CLI option holding one (``None``
+    or negative disables the row), and a shortfall is only a warning
+    when the section's ``waiver`` flag is set.  ``pins`` must equal the
+    baseline's or the section refuses to compare; ``missing`` says
+    whether an absent current entry fails or is skipped.
+    """
+
+    section: str
+    metric: str
+    better: str
+    label: str
+    pins: Tuple[str, ...] = ()
+    missing: str = "fail"
+    floor: Union[None, float, str] = None
+    waiver: Optional[str] = None
+
+
+_SHAPE = ("num_agents", "num_hosts", "hops_per_journey", "seed")
+_SERVICE_PINS = tuple("workload." + knob for knob in _SHAPE) + ("max_batch",)
+_CLUSTER_PINS = tuple("workload." + knob for knob in _SHAPE) + ("verifiers",)
+_CHAOS_PINS = ("chaos_seed", "workers", "faults_injected")
+
+#: Every number the perf gate holds, in report order.  Ratios that
+#: depend on the machine's shape (speedup, cluster scaling) are gated
+#: only by CLI floors with the ``cpu_limited`` waiver, never against a
+#: baseline from other hardware.  A crypto backend not installed here
+#: is an environment property, so its row skips it.  Chaos recovery
+#: overhead is recorded, not gated: respawn cost depends on machine
+#: load as wall clocks do, and :func:`bench_chaos` itself refuses a
+#: fault-injected run that is not byte-identical.
+GATES: Tuple[Gate, ...] = (
+    Gate("fleet", "runs.*.throughput_journeys_per_second", "higher",
+         "* throughput", pins=_SHAPE),
+    Gate("fleet", "speedup_vs_single", "higher", "speedup vs single",
+         floor="min_speedup", waiver="cpu_limited"),
+    Gate("crypto", "backends.*.batch_verify_us_per_item", "lower",
+         "* batch_verify", pins=("signatures", "signers"), missing="skip"),
+    Gate("campaign", "runs.*.throughput_journeys_per_second", "higher",
+         "* throughput", pins=_SHAPE + ("attack_fraction",)),
+    Gate("campaign", "detection.always_detectable_recall", "higher",
+         "recall on always-detectable scenarios",
+         floor="min_campaign_recall"),
+    Gate("service", "batched.rps", "higher", "batched throughput",
+         pins=_SERVICE_PINS),
+    Gate("service", "batch_size_1.rps", "higher", "batch_size_1 throughput",
+         pins=_SERVICE_PINS),
+    Gate("service", "batching_gain", "higher", "batching gain",
+         floor="min_service_batch_gain"),
+    Gate("service", "vs_fleet_ratio", "higher",
+         "throughput vs the in-process fleet verification rate",
+         floor="min_service_fleet_ratio"),
+    Gate("cluster", "single.rps", "higher", "single throughput",
+         pins=_CLUSTER_PINS),
+    Gate("cluster", "scaled.rps", "higher", "scaled throughput",
+         pins=_CLUSTER_PINS),
+    Gate("cluster", "scaling_vs_single", "higher", "scaling vs single",
+         floor="min_cluster_scaling", waiver="cpu_limited"),
+    Gate("chaos", "parity.signature_identical", "higher",
+         "signature parity", pins=_CHAOS_PINS, floor=1),
+    Gate("chaos", "parity.trace_identical", "higher",
+         "trace parity", pins=_CHAOS_PINS, floor=1),
+)
+
+#: Pins whose mismatch is named after the pin rather than reported as
+#: a workload-shape mismatch.
+_PIN_NAMES = {"max_batch": "max_batch", "verifiers": "verifier-count"}
+
+
+def _lookup(node: Any, path: List[str]) -> Any:
+    for part in path:
+        if not isinstance(node, dict):
+            return None
+        node = node.get(part)
+    return node
+
+
+def _expand(section: Dict[str, Any], metric: str) -> List[Tuple[str, List[str]]]:
+    """``(key, path)`` for each concrete entry ``metric`` names."""
+    head, star, tail = metric.partition("*")
+    if not star:
+        return [("", metric.split("."))]
+    prefix = head.rstrip(".").split(".")
+    table = _lookup(section, prefix)
+    return [
+        (key, prefix + [key] + tail.lstrip(".").split("."))
+        for key in sorted(table if isinstance(table, dict) else ())
+    ]
+
+
+def _refusal(name: str, current: Optional[Dict[str, Any]],
+             base: Optional[Dict[str, Any]], rows: List[Gate]) -> Optional[str]:
+    """Why section ``name`` cannot be compared to the baseline, if so."""
+    if current is None:
+        return ("%s section missing from current report — a requested "
+                "benchmark must not be silently dropped" % name)
+    if base is None:
+        return ("baseline has no %s section (recorded with a sections "
+                "subset?) — refresh the baseline from a full gated run"
+                % name)
+    for pin in dict.fromkeys(pin for gate in rows for pin in gate.pins):
+        base_value = _lookup(base, pin.split("."))
+        cur_value = _lookup(current, pin.split("."))
+        if base_value != cur_value:
+            leaf = pin.rsplit(".", 1)[-1]
+            return ("%s %s mismatch on %s: baseline %r vs current %r — "
+                    "not comparable; refresh the baseline" % (
+                        name, _PIN_NAMES.get(leaf, "workload"), leaf,
+                        base_value, cur_value,
+                    ))
+    return None
+
+
+def evaluate_gates(
+    current: Dict[str, Any],
+    baseline: Optional[Dict[str, Any]] = None,
+    max_regression: float = 0.30,
+    sections: Optional[List[str]] = None,
+    floors: Optional[Dict[str, Any]] = None,
+) -> Tuple[List[str], List[str]]:
+    """Evaluate every :data:`GATES` row; returns ``(failures, warnings)``.
+
+    Baseline-relative rows run only when ``baseline`` is given; floor
+    rows read CLI thresholds from ``floors`` (option name → value).
+    ``sections`` names the sections the current run was asked to
+    produce (default: the report's own ``sections`` record, falling
+    back to everything); rows of other sections are skipped.  Each
+    requested section refuses or passes on its own: a section missing
+    from either report, or with a pin that differs from the baseline,
+    fails that section's comparison and no other.
+    """
+    failures: List[str] = []
+    warnings: List[str] = []
+    if baseline is not None and baseline.get("schema") != current.get("schema"):
+        failures.append(
+            "schema mismatch: baseline %r vs current %r — refresh the "
+            "baseline" % (baseline.get("schema"), current.get("schema"))
+        )
+        baseline = None
+    if sections is None:
+        sections = current.get("sections")
+    if sections is None:
+        sections = list(ALL_SECTIONS)
+    floors = floors or {}
+    for name in dict.fromkeys(gate.section for gate in GATES):
+        if name not in sections:
+            continue
+        rows = [gate for gate in GATES if gate.section == name]
+        cur = current["benchmarks"].get(name)
+        base = None
+        if baseline is not None:
+            base = baseline["benchmarks"].get(name)
+            refusal = _refusal(name, cur, base, rows)
+            if refusal is not None:
+                failures.append(refusal)
+                base = None
+        for gate in rows:
+            higher = gate.better == "higher"
+            if gate.floor is None:
+                if base is None:
+                    continue  # no comparable baseline
+                source = base
+            else:
+                threshold = (floors.get(gate.floor)
+                             if isinstance(gate.floor, str) else gate.floor)
+                if cur is None or threshold is None or threshold < 0:
+                    continue  # floor disabled, or nothing to hold
+                source = cur
+            for key, path in _expand(source, gate.metric):
+                label = "%s %s" % (name, gate.label.replace("*", key))
+                if gate.floor is None:
+                    reference = _lookup(base, path)
+                    if reference is None:
+                        continue
+                    limit = reference * (1.0 - max_regression if higher
+                                         else 1.0 + max_regression)
+                    verdict = "regressed"
+                    detail = " (baseline %.3f, allowed regression %.0f%%)" % (
+                        reference, 100 * max_regression)
+                else:
+                    limit, verdict, detail = threshold, "missed its floor", ""
+                value = _lookup(cur, path)
+                if value is None:
+                    if gate.missing == "fail":
+                        failures.append(
+                            "%s missing from current report" % label)
+                    continue
+                if not (value < limit if higher else value > limit):
+                    continue
+                message = "%s %s: %.3f %s %.3f%s" % (
+                    label, verdict, value, "<" if higher else ">", limit,
+                    detail,
+                )
+                if gate.waiver and cur.get(gate.waiver):
+                    warnings.append(
+                        "%s — gate waived as cpu-limited (%s CPUs)"
+                        % (message, cur.get("cpu_count")))
+                else:
+                    failures.append(message)
+    return failures, warnings
+
+
 def compare_to_baseline(
     current: Dict[str, Any],
     baseline: Dict[str, Any],
@@ -1327,355 +1554,15 @@ def compare_to_baseline(
 ) -> List[str]:
     """Regression check: returns human-readable failures (empty = pass).
 
-    Wall-clock throughput is the gated quantity; a run key present in
-    the baseline but missing from the current report is itself a
-    failure (a silently dropped measurement must not pass the gate).
-    Schema or workload-shape mismatches make the comparison refuse
-    rather than guess.
-
-    ``sections`` names the benchmark sections the current run was asked
-    to produce (default: the report's own ``sections`` record, falling
-    back to everything).  A baseline section outside that set is
-    skipped — deliberately not running a section is legitimate; a
-    *requested* section missing from the current report still fails.
+    :func:`evaluate_gates` against ``baseline`` with no CLI floors.  A
+    baseline entry missing from the current report is itself a failure
+    (a silently dropped measurement must not pass the gate), and schema
+    or workload-shape mismatches refuse rather than guess.  A section
+    outside ``sections`` is skipped — deliberately not running a
+    section is legitimate; a *requested* section missing from either
+    report fails.
     """
-    failures: List[str] = []
-    if baseline.get("schema") != current.get("schema"):
-        return [
-            "schema mismatch: baseline %r vs current %r — refresh the "
-            "baseline" % (baseline.get("schema"), current.get("schema"))
-        ]
-    if sections is None:
-        sections = current.get("sections")
-    if sections is None:
-        sections = list(ALL_SECTIONS)
-
-    if "fleet" not in sections:
-        if "crypto" in sections and "crypto" in baseline["benchmarks"]:
-            failures.extend(_compare_crypto_sections(
-                current, baseline, max_regression
-            ))
-        if "campaign" in sections and "campaign" in baseline["benchmarks"]:
-            failures.extend(_compare_campaign_sections(
-                current, baseline, max_regression
-            ))
-        if "service" in sections and "service" in baseline["benchmarks"]:
-            failures.extend(_compare_service_sections(
-                current, baseline, max_regression
-            ))
-        if "cluster" in sections and "cluster" in baseline["benchmarks"]:
-            failures.extend(_compare_cluster_sections(
-                current, baseline, max_regression
-            ))
-        if "chaos" in sections and "chaos" in baseline["benchmarks"]:
-            failures.extend(_compare_chaos_sections(
-                current, baseline, max_regression
-            ))
-        return failures
-    if "fleet" not in current["benchmarks"]:
-        return ["fleet section missing from current report"]
-    if "fleet" not in baseline["benchmarks"]:
-        return [
-            "baseline has no fleet section (recorded with a sections "
-            "subset?) — refresh the baseline from a full gated run"
-        ]
-    base_fleet = baseline["benchmarks"]["fleet"]
-    cur_fleet = current["benchmarks"]["fleet"]
-    for knob in ("num_agents", "num_hosts", "hops_per_journey", "seed"):
-        if base_fleet.get(knob) != cur_fleet.get(knob):
-            return [
-                "workload mismatch on %s: baseline %r vs current %r — "
-                "throughputs are not comparable; refresh the baseline"
-                % (knob, base_fleet.get(knob), cur_fleet.get(knob))
-            ]
-    for key, base_run in sorted(base_fleet["runs"].items()):
-        cur_run = cur_fleet["runs"].get(key)
-        if cur_run is None:
-            failures.append("baseline run %r missing from current report" % key)
-            continue
-        base_tp = base_run["throughput_journeys_per_second"]
-        cur_tp = cur_run["throughput_journeys_per_second"]
-        floor = base_tp * (1.0 - max_regression)
-        if cur_tp < floor:
-            failures.append(
-                "%s throughput regressed: %.3f < %.3f journeys/s "
-                "(baseline %.3f, allowed regression %.0f%%)"
-                % (key, cur_tp, floor, base_tp, 100 * max_regression)
-            )
-
-    if "crypto" in sections:
-        failures.extend(_compare_crypto_sections(
-            current, baseline, max_regression
-        ))
-    if "campaign" in sections:
-        failures.extend(_compare_campaign_sections(
-            current, baseline, max_regression
-        ))
-    if "service" in sections:
-        failures.extend(_compare_service_sections(
-            current, baseline, max_regression
-        ))
-    if "cluster" in sections:
-        failures.extend(_compare_cluster_sections(
-            current, baseline, max_regression
-        ))
-    if "chaos" in sections:
-        failures.extend(_compare_chaos_sections(
-            current, baseline, max_regression
-        ))
-    return failures
-
-
-def _compare_crypto_sections(
-    current: Dict[str, Any],
-    baseline: Dict[str, Any],
-    max_regression: float,
-) -> List[str]:
-    """Crypto-backend leg of :func:`compare_to_baseline`.
-
-    Gates ``batch_verify`` µs/item per backend (lower is better, so the
-    ceiling is ``baseline * (1 + max_regression)``).  Backends present
-    in the baseline but not loadable on this machine (a runner without
-    gmpy2) are skipped — availability is an environment property, not a
-    regression.
-    """
-    failures: List[str] = []
-    base_crypto = baseline["benchmarks"].get("crypto")
-    if base_crypto is None:
-        return failures
-    cur_crypto = current["benchmarks"].get("crypto")
-    if cur_crypto is None:
-        return [
-            "crypto section missing from current report — the backend "
-            "benchmark must not be silently dropped"
-        ]
-    for knob in ("signatures", "signers"):
-        if base_crypto.get(knob) != cur_crypto.get(knob):
-            return [
-                "crypto workload mismatch on %s: baseline %r vs current "
-                "%r — refresh the baseline"
-                % (knob, base_crypto.get(knob), cur_crypto.get(knob))
-            ]
-    for name, base_entry in sorted(base_crypto.get("backends", {}).items()):
-        cur_entry = cur_crypto.get("backends", {}).get(name)
-        if cur_entry is None:
-            continue
-        base_us = base_entry.get("batch_verify_us_per_item")
-        cur_us = cur_entry.get("batch_verify_us_per_item")
-        if base_us is None or cur_us is None:
-            continue
-        ceiling = base_us * (1.0 + max_regression)
-        if cur_us > ceiling:
-            failures.append(
-                "crypto backend %r batch_verify regressed: %.2f > %.2f "
-                "us/item (baseline %.2f, allowed regression %.0f%%)"
-                % (name, cur_us, ceiling, base_us, 100 * max_regression)
-            )
-    return failures
-
-
-def _compare_campaign_sections(
-    current: Dict[str, Any],
-    baseline: Dict[str, Any],
-    max_regression: float,
-) -> List[str]:
-    """Campaign leg of :func:`compare_to_baseline`."""
-    failures: List[str] = []
-    base_campaign = baseline["benchmarks"].get("campaign")
-    if base_campaign is None:
-        return failures
-    cur_campaign = current["benchmarks"].get("campaign")
-    if cur_campaign is None:
-        return [
-            "campaign section missing from current report — the "
-            "adversarial benchmark must not be silently dropped"
-        ]
-    for knob in ("num_agents", "num_hosts", "hops_per_journey",
-                 "seed", "attack_fraction"):
-        if base_campaign.get(knob) != cur_campaign.get(knob):
-            failures.append(
-                "campaign workload mismatch on %s: baseline %r vs "
-                "current %r — refresh the baseline"
-                % (knob, base_campaign.get(knob), cur_campaign.get(knob))
-            )
-            return failures
-    for key, base_run in sorted(base_campaign["runs"].items()):
-        cur_run = cur_campaign["runs"].get(key)
-        if cur_run is None:
-            failures.append(
-                "campaign baseline run %r missing from current report"
-                % key
-            )
-            continue
-        base_tp = base_run["throughput_journeys_per_second"]
-        cur_tp = cur_run["throughput_journeys_per_second"]
-        floor = base_tp * (1.0 - max_regression)
-        if cur_tp < floor:
-            failures.append(
-                "campaign %s throughput regressed: %.3f < %.3f "
-                "journeys/s (baseline %.3f, allowed regression %.0f%%)"
-                % (key, cur_tp, floor, base_tp, 100 * max_regression)
-            )
-    return failures
-
-
-def _compare_service_sections(
-    current: Dict[str, Any],
-    baseline: Dict[str, Any],
-    max_regression: float,
-) -> List[str]:
-    """Service leg of :func:`compare_to_baseline`.
-
-    The gated quantities are the batched and batch-size-1 service
-    throughputs (RPS); workload- or batching-shape mismatches refuse to
-    compare, exactly like the fleet leg.
-    """
-    failures: List[str] = []
-    base_service = baseline["benchmarks"].get("service")
-    if base_service is None:
-        return failures
-    cur_service = current["benchmarks"].get("service")
-    if cur_service is None:
-        return [
-            "service section missing from current report — the "
-            "verification-service benchmark must not be silently dropped"
-        ]
-    base_workload = base_service.get("workload", {})
-    cur_workload = cur_service.get("workload", {})
-    for knob in ("num_agents", "num_hosts", "hops_per_journey", "seed"):
-        if base_workload.get(knob) != cur_workload.get(knob):
-            failures.append(
-                "service workload mismatch on %s: baseline %r vs "
-                "current %r — refresh the baseline"
-                % (knob, base_workload.get(knob), cur_workload.get(knob))
-            )
-            return failures
-    if base_service.get("max_batch") != cur_service.get("max_batch"):
-        failures.append(
-            "service max_batch mismatch: baseline %r vs current %r — "
-            "refresh the baseline"
-            % (base_service.get("max_batch"), cur_service.get("max_batch"))
-        )
-        return failures
-    for leg in ("batched", "batch_size_1"):
-        base_rps = base_service.get(leg, {}).get("rps")
-        cur_rps = cur_service.get(leg, {}).get("rps")
-        if base_rps is None:
-            continue
-        if cur_rps is None:
-            failures.append(
-                "service %s leg missing from current report" % leg
-            )
-            continue
-        floor = base_rps * (1.0 - max_regression)
-        if cur_rps < floor:
-            failures.append(
-                "service %s throughput regressed: %.1f < %.1f rps "
-                "(baseline %.1f, allowed regression %.0f%%)"
-                % (leg, cur_rps, floor, base_rps, 100 * max_regression)
-            )
-    return failures
-
-
-def _compare_cluster_sections(
-    current: Dict[str, Any],
-    baseline: Dict[str, Any],
-    max_regression: float,
-) -> List[str]:
-    """Cluster leg of :func:`compare_to_baseline`.
-
-    Gates the single-verifier and N-verifier routed throughputs (RPS).
-    The scaling *ratio* is deliberately not compared against the
-    baseline — it is machine-shape-dependent (``cpu_limited``) and has
-    its own explicit ``--min-cluster-scaling`` gate.
-    """
-    failures: List[str] = []
-    base_cluster = baseline["benchmarks"].get("cluster")
-    if base_cluster is None:
-        return failures
-    cur_cluster = current["benchmarks"].get("cluster")
-    if cur_cluster is None:
-        return [
-            "cluster section missing from current report — the "
-            "verification-cluster benchmark must not be silently dropped"
-        ]
-    base_workload = base_cluster.get("workload", {})
-    cur_workload = cur_cluster.get("workload", {})
-    for knob in ("num_agents", "num_hosts", "hops_per_journey", "seed"):
-        if base_workload.get(knob) != cur_workload.get(knob):
-            failures.append(
-                "cluster workload mismatch on %s: baseline %r vs "
-                "current %r — refresh the baseline"
-                % (knob, base_workload.get(knob), cur_workload.get(knob))
-            )
-            return failures
-    if base_cluster.get("verifiers") != cur_cluster.get("verifiers"):
-        failures.append(
-            "cluster verifier-count mismatch: baseline %r vs current %r "
-            "— refresh the baseline"
-            % (base_cluster.get("verifiers"), cur_cluster.get("verifiers"))
-        )
-        return failures
-    for leg in ("single", "scaled"):
-        base_rps = base_cluster.get(leg, {}).get("rps")
-        cur_rps = cur_cluster.get(leg, {}).get("rps")
-        if base_rps is None:
-            continue
-        if cur_rps is None:
-            failures.append(
-                "cluster %s leg missing from current report" % leg
-            )
-            continue
-        floor = base_rps * (1.0 - max_regression)
-        if cur_rps < floor:
-            failures.append(
-                "cluster %s throughput regressed: %.1f < %.1f rps "
-                "(baseline %.1f, allowed regression %.0f%%)"
-                % (leg, cur_rps, floor, base_rps, 100 * max_regression)
-            )
-    return failures
-
-
-def _compare_chaos_sections(
-    current: Dict[str, Any],
-    baseline: Dict[str, Any],
-    max_regression: float,
-) -> List[str]:
-    """Chaos leg of :func:`compare_to_baseline`.
-
-    Correctness (byte-identity under injected faults) is enforced by
-    :func:`bench_chaos` itself — a divergent run never produces a
-    report.  The baseline gate therefore only checks that the section
-    was not silently dropped and that the same faults were injected;
-    recovery overhead is recorded, not gated — respawn cost is
-    machine-load-dependent in exactly the way wall clocks are.
-    """
-    failures: List[str] = []
-    base_chaos = baseline["benchmarks"].get("chaos")
-    if base_chaos is None:
-        return failures
-    cur_chaos = current["benchmarks"].get("chaos")
-    if cur_chaos is None:
-        return [
-            "chaos section missing from current report — the fault-"
-            "injection benchmark must not be silently dropped"
-        ]
-    for knob in ("chaos_seed", "workers", "faults_injected"):
-        if base_chaos.get(knob) != cur_chaos.get(knob):
-            failures.append(
-                "chaos plan mismatch on %s: baseline %r vs current %r — "
-                "refresh the baseline"
-                % (knob, base_chaos.get(knob), cur_chaos.get(knob))
-            )
-            return failures
-    parity = cur_chaos.get("parity", {})
-    if not (parity.get("signature_identical")
-            and parity.get("trace_identical")):
-        failures.append(
-            "chaos parity flags are not set — injected runs must be "
-            "byte-identical to clean runs"
-        )
-    return failures
+    return evaluate_gates(current, baseline, max_regression, sections)[0]
 
 
 def format_speedup_warning(workers: int, fleet: Dict[str, Any],
@@ -2058,20 +1945,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         ))
     crypto = report["benchmarks"].get("crypto")
     if crypto is not None:
-        print("crypto backends (%d signatures, %d signers; active: %s):" % (
-            crypto["signatures"], crypto["signers"],
-            crypto["active_backend"],
-        ))
-        for name, entry in sorted(crypto["backends"].items()):
-            print("  %-8s sign %8.2f us/op   verify %8.2f us/item   "
-                  "batch_verify %8.2f us/item" % (
-                      name, entry["sign_us_per_op"],
-                      entry["verify_us_per_item"],
-                      entry["batch_verify_us_per_item"],
-                  ))
+        print(format_backend_table(crypto))
     camp = report["benchmarks"].get("campaign")
-    detection = camp["detection"] if camp is not None else None
     if camp is not None:
+        detection = camp["detection"]
         print("campaign: %d journeys, %.0f%% attacked, signature %s" % (
             camp["num_agents"], 100 * camp["attack_fraction"],
             camp["deterministic_signature"][:16],
@@ -2082,8 +1959,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         ))
         print("  adversarial overhead vs benign: %.2fx"
               % camp["adversarial_overhead"])
-        from repro.bench.tables import metric_cell
-
         for name, row in sorted(detection["per_scenario"].items()):
             print("  %-24s area %2d  %-18s %3d/%3d detected "
                   "(recall %s, precision %s, hops-to-det %s)" % (
@@ -2095,72 +1970,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                   ))
     service = report["benchmarks"].get("service")
     if service is not None:
-        print("service: %d verify + %d session requests "
-              "(fleet of %d journeys)" % (
-                  service["stream"]["verify_requests"],
-                  service["stream"]["session_checks"],
-                  service["workload"]["num_agents"],
-              ))
-        print("  batched (window %d): %8.1f rps  p50 %6.2fms  p99 %6.2fms"
-              "  mean batch %.1f" % (
-                  service["max_batch"],
-                  service["batched"]["rps"],
-                  service["batched"]["latency_ms"]["p50"],
-                  service["batched"]["latency_ms"]["p99"],
-                  service["batched"]["mean_batch_size"],
-              ))
-        print("  batch size 1:       %8.1f rps  p50 %6.2fms  p99 %6.2fms" % (
-            service["batch_size_1"]["rps"],
-            service["batch_size_1"]["latency_ms"]["p50"],
-            service["batch_size_1"]["latency_ms"]["p99"],
-        ))
-        print("  cached replay:      %8.1f rps  hit rate %.1f%%" % (
-            service["cached"]["rps"],
-            100 * service["cached"]["cache_hit_rate"],
-        ))
-        print("  batching gain: %.2fx   vs in-process fleet "
-              "verification rate (%.1f/s): %.2fx" % (
-                  service["batching_gain"],
-                  service["in_process"]["fleet_verification_rate"],
-                  service["vs_fleet_ratio"],
-              ))
-        print("  parity: %d verify + %d session verdicts matched "
-              "in-process ground truth, zero drops" % (
-                  service["parity"]["verify_checked"],
-                  service["parity"]["sessions_checked"],
-              ))
+        print(format_service_table(service))
     cluster = report["benchmarks"].get("cluster")
     if cluster is not None:
-        print("cluster: %d verify requests routed over real verifier "
-              "subprocesses (fleet of %d journeys)" % (
-                  cluster["stream"]["verify_requests"],
-                  cluster["workload"]["num_agents"],
-              ))
-        print("  1 verifier:  %8.1f rps  p50 %6.2fms  p99 %6.2fms" % (
-            cluster["single"]["rps"],
-            cluster["single"]["latency_ms"]["p50"],
-            cluster["single"]["latency_ms"]["p99"],
-        ))
-        print("  %d verifiers: %8.1f rps  p50 %6.2fms  p99 %6.2fms" % (
-            cluster["verifiers"],
-            cluster["scaled"]["rps"],
-            cluster["scaled"]["latency_ms"]["p50"],
-            cluster["scaled"]["latency_ms"]["p99"],
-        ))
-        print("  scaling vs single verifier: %.2fx%s" % (
-            cluster["scaling_vs_single"],
-            "  (cpu-limited: %d CPUs for %d processes)" % (
-                cluster["cpu_count"], cluster["verifiers"] + 1,
-            ) if cluster["cpu_limited"] else "",
-        ))
-        failover = cluster["failover"]
-        print("  failover: SIGKILLed %s %.2fs into the replay — "
-              "%d failovers, %d reissues, zero lost or duplicated "
-              "verdicts" % (
-                  failover["killed"], failover["kill_after_seconds"],
-                  failover["failovers"], failover["reissues"],
-              ))
-        if not failover["killed_mid_run"]:
+        print(format_cluster_table(cluster))
+        if not cluster["failover"]["killed_mid_run"]:
             print("  note: the kill landed after the stream drained "
                   "(no in-flight work to fail over) — rerun with a "
                   "larger stream for a live drill", file=sys.stderr)
@@ -2197,78 +2011,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("profile written to %s" % args.profile_output)
     print("report written to %s" % args.output)
 
-    status = 0
-    if (detection is not None and args.min_campaign_recall is not None
-            and args.min_campaign_recall >= 0):
-        observed = detection["always_detectable_recall"]
-        if observed < args.min_campaign_recall:
-            print(
-                "FAIL: campaign recall on always-detectable scenarios "
-                "%.3f below required %.3f" % (
-                    observed, args.min_campaign_recall,
-                ), file=sys.stderr,
-            )
-            status = 1
-    if (fleet is not None and args.min_speedup is not None
-            and args.workers > 1):
-        if fleet["speedup_vs_single"] < args.min_speedup:
-            if fleet.get("cpu_limited"):
-                # Parallel speedup needs as many cores as workers; on
-                # smaller machines the shortfall is an environment
-                # property, not a regression — same policy as the
-                # cluster scaling gate.
-                print("WARNING: fleet speedup %.2fx below the %.2fx "
-                      "gate, but this machine has %s CPUs for %d "
-                      "workers — gate waived as cpu-limited" % (
-                          fleet["speedup_vs_single"], args.min_speedup,
-                          fleet.get("cpu_count"), args.workers,
-                      ), file=sys.stderr)
-            else:
-                print("FAIL: speedup %.2fx below required %.2fx "
-                      "(%d workers, %s CPUs)" % (
-                          fleet["speedup_vs_single"], args.min_speedup,
-                          args.workers, fleet.get("cpu_count"),
-                      ), file=sys.stderr)
-                status = 1
-    if service is not None:
-        if (args.min_service_batch_gain is not None
-                and args.min_service_batch_gain >= 0
-                and service["batching_gain"] < args.min_service_batch_gain):
-            print("FAIL: service batching gain %.2fx below required %.2fx"
-                  % (service["batching_gain"], args.min_service_batch_gain),
-                  file=sys.stderr)
-            status = 1
-        if (args.min_service_fleet_ratio is not None
-                and args.min_service_fleet_ratio >= 0
-                and service["vs_fleet_ratio"] < args.min_service_fleet_ratio):
-            print("FAIL: service throughput is %.2fx the in-process fleet "
-                  "verification rate, below the required %.2fx"
-                  % (service["vs_fleet_ratio"],
-                     args.min_service_fleet_ratio),
-                  file=sys.stderr)
-            status = 1
-    if (cluster is not None and args.min_cluster_scaling is not None
-            and args.min_cluster_scaling >= 0
-            and cluster["scaling_vs_single"] < args.min_cluster_scaling):
-        if cluster["cpu_limited"]:
-            # The gate needs verifiers+1 runnable processes; with fewer
-            # cores the shortfall is an environment property, not a
-            # regression — same policy as the fleet speedup banner.
-            print("WARNING: cluster scaling %.2fx below the %.2fx gate, "
-                  "but this machine has %d CPUs for %d processes — "
-                  "gate waived as cpu-limited" % (
-                      cluster["scaling_vs_single"],
-                      args.min_cluster_scaling,
-                      cluster["cpu_count"], cluster["verifiers"] + 1,
-                  ), file=sys.stderr)
-        else:
-            print("FAIL: cluster scaling %.2fx below required %.2fx "
-                  "(%d verifiers, %d CPUs)" % (
-                      cluster["scaling_vs_single"],
-                      args.min_cluster_scaling,
-                      cluster["verifiers"], cluster["cpu_count"],
-                  ), file=sys.stderr)
-            status = 1
+    baseline = None
     if args.baseline:
         with open(args.baseline, "r", encoding="utf-8") as handle:
             baseline = json.load(handle)
@@ -2285,17 +2028,20 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "hardware" % (knob, base_env.get(knob), cur_env.get(knob)),
                     file=sys.stderr,
                 )
-        failures = compare_to_baseline(
-            report, baseline, max_regression=args.max_regression
-        )
-        if failures:
-            for failure in failures:
-                print("FAIL: %s" % failure, file=sys.stderr)
-            status = 1
-        else:
-            print("baseline check passed (%s)" % args.baseline)
-    return status
-
+    floors = vars(args)
+    if args.workers <= 1:
+        # A single-worker run has no parallel leg to gate.
+        floors = dict(floors, min_speedup=None)
+    failures, warnings = evaluate_gates(
+        report, baseline, max_regression=args.max_regression, floors=floors,
+    )
+    for warning in warnings:
+        print("WARNING: %s" % warning, file=sys.stderr)
+    for failure in failures:
+        print("FAIL: %s" % failure, file=sys.stderr)
+    if baseline is not None and not failures:
+        print("baseline check passed (%s)" % args.baseline)
+    return 1 if failures else 0
 
 if __name__ == "__main__":
     sys.exit(main())

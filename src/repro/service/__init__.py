@@ -42,8 +42,6 @@ The one way to talk to any of it::
     response = await verifier.verify(signer, message, signature)
 """
 
-import warnings
-
 from repro.exceptions import RetryExhausted
 from repro.service.api import Verifier, connect, resolve_endpoint
 from repro.service.batching import MicroBatcher, SettledVerification
@@ -124,34 +122,4 @@ __all__ = [
     "encode_frame",
     "read_frame",
     "split_frames",
-    # Deprecated (still importable, warn on access).
-    "ServiceClient",
-    "ServiceResponseError",
-    "connect_with_retry",
 ]
-
-#: Old facade names → (replacement hint).  Accessing them through the
-#: package still works for one release but warns; the implementation
-#: modules themselves (``repro.service.client``) stay warning-free for
-#: internal use.
-_DEPRECATED = {
-    "ServiceClient": "repro.service.connect(endpoint)",
-    "connect_with_retry": "repro.service.connect(endpoint)",
-    "ServiceResponseError": "repro.service.client.ServiceResponseError",
-}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED:
-        warnings.warn(
-            "repro.service.%s is deprecated; use %s instead"
-            % (name, _DEPRECATED[name]),
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.service import client as _client
-
-        return getattr(_client, name)
-    raise AttributeError(
-        "module %r has no attribute %r" % (__name__, name)
-    )

@@ -328,34 +328,3 @@ class ServiceClient:
 
     async def __aexit__(self, *exc_info: Any) -> None:
         await self.close()
-
-
-async def connect_with_retry(
-    host: str,
-    port: int,
-    connections: int = 1,
-    timeout: float = 10.0,
-    interval: float = 0.1,
-    max_frame: int = MAX_FRAME_BYTES,
-) -> ServiceClient:
-    """Connect, retrying until ``timeout`` (server still coming up).
-
-    Deprecated: the fixed-interval loop this function used to be is now
-    a degenerate :class:`~repro.service.retry.RetryPolicy` (no backoff
-    growth, no jitter) — call ``repro.service.connect(endpoint)`` or
-    build a real policy instead.
-    """
-    policy = RetryPolicy(
-        deadline=timeout, base_delay=interval, max_delay=interval,
-        multiplier=1.0, jitter=0.0,
-    )
-    return await policy.call(
-        lambda: ServiceClient.connect(
-            host, port, connections=connections, max_frame=max_frame,
-            retry=policy,
-        ),
-        describe="connect to %s:%d" % (host, port),
-    )
-
-
-__all__.append("connect_with_retry")

@@ -1,13 +1,12 @@
 """Typed retry policy: a deadline and jittered exponential backoff.
 
-The stack used to retry in two ad-hoc ways — a fixed-interval dial loop
-(:func:`repro.service.client.connect_with_retry`, now deprecated) and
-no request retry at all, so a single connection reset during a backend
-restart failed an entire parity run.  :class:`RetryPolicy` replaces
-both: one immutable value describing *how long* to keep trying
-(``deadline``), *how fast* to back off (``base_delay`` × ``multiplier``
-capped at ``max_delay``), and *how much* to jitter so a thousand
-clients retrying the same dead backend do not stampede it in lockstep.
+Dialing a server that is still coming up and re-issuing an idempotent
+request after a connection reset during a backend restart are the same
+problem.  :class:`RetryPolicy` covers both: one immutable value
+describing *how long* to keep trying (``deadline``), *how fast* to
+back off (``base_delay`` × ``multiplier`` capped at ``max_delay``),
+and *how much* to jitter so a thousand clients retrying the same dead
+backend do not stampede it in lockstep.
 
 Retry is only sound for idempotent operations.  Everything the
 verification service exposes is a pure function of its request —

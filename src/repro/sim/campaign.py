@@ -430,9 +430,9 @@ def analyze_campaign(result: FleetResult) -> CampaignResult:
 def run_campaign(
     config: FleetConfig,
     workers: int = 1,
-    num_shards: Optional[int] = None,
     start_method: Optional[str] = None,
     pool: Optional[Any] = None,
+    unit_size: Optional[int] = None,
 ) -> CampaignResult:
     """Run an adversarial fleet and return its campaign analysis.
 
@@ -440,7 +440,8 @@ def run_campaign(
     assignment rides in the configuration, so the sharded execution
     path needs no campaign-specific plumbing and the merged run is
     bit-identical to the single-process one.  ``pool`` optionally names
-    a persistent :class:`~repro.sim.shard.FleetWorkerPool` to reuse.
+    a persistent :class:`~repro.sim.shard.FleetWorkerPool` to reuse;
+    ``unit_size`` sets the work-stealing unit granularity.
     """
     kwargs: Dict[str, Any] = {}
     if start_method is not None:
@@ -448,7 +449,7 @@ def run_campaign(
     if pool is not None:
         kwargs["pool"] = pool
     result = run_fleet(
-        config, workers=workers, num_shards=num_shards, **kwargs
+        config, workers=workers, unit_size=unit_size, **kwargs
     )
     return analyze_campaign(result)
 

@@ -111,11 +111,10 @@ __all__ = [
 #: execution); determinism never relies on it, only portability does.
 DEFAULT_START_METHOD = "spawn"
 
-#: Default queue granularity: units per worker when neither
-#: ``num_shards`` nor ``unit_size`` is given.  Several units per worker
-#: is what makes stealing effective (a worker finishing early picks up
-#: another unit instead of idling), while units stay large enough that
-#: per-unit topology setup is noise.
+#: Default queue granularity: units per worker when no ``unit_size``
+#: is given.  Several units per worker is what makes stealing effective
+#: (a worker finishing early picks up another unit instead of idling),
+#: while units stay large enough that per-unit topology setup is noise.
 DEFAULT_UNITS_PER_WORKER = 4
 
 #: How long the coordinator waits on the result channels before
@@ -341,25 +340,17 @@ def split_fleet(
 def plan_units(
     config: FleetConfig,
     workers: int,
-    num_shards: Optional[int] = None,
     unit_size: Optional[int] = None,
 ) -> int:
-    """Unit count for a run: explicit shards, a unit size, or default.
+    """Unit count for a run: from a unit size, or the default plan.
 
-    ``num_shards`` pins the partition exactly (legacy interface);
-    ``unit_size`` asks for units of about that many journeys; with
-    neither, multi-worker runs get :data:`DEFAULT_UNITS_PER_WORKER`
+    ``unit_size`` asks for units of about that many journeys; without
+    it, multi-worker runs get :data:`DEFAULT_UNITS_PER_WORKER`
     units per worker (capped at one journey per unit) so the shared
     queue always holds spare units for an idle worker to steal, and
     single-worker runs stay one unit.
     """
-    if num_shards is not None and unit_size is not None:
-        raise ConfigurationError(
-            "num_shards and unit_size are mutually exclusive"
-        )
     config.validate()
-    if num_shards is not None:
-        return num_shards
     if unit_size is not None:
         if unit_size < 1:
             raise ConfigurationError("unit_size must be positive")
@@ -1263,7 +1254,6 @@ def _merged_telemetry(
 def run_fleet(
     config: FleetConfig,
     workers: int = 1,
-    num_shards: Optional[int] = None,
     start_method: str = DEFAULT_START_METHOD,
     pool: Optional[FleetWorkerPool] = None,
     unit_size: Optional[int] = None,
@@ -1279,12 +1269,6 @@ def run_fleet(
     workers:
         Worker processes to use.  ``1`` executes the units sequentially
         in this process — same code path, no pool.
-    num_shards:
-        Pin the unit count exactly.  Defaults to the dynamic plan of
-        :func:`plan_units` (several small units per worker).  The
-        merged result is bit-identical for every ``(num_shards,
-        workers, unit_size)`` choice, including the unsharded
-        single-process engine.
     start_method:
         :mod:`multiprocessing` start method for the pool (ignored when
         ``pool`` is given).
@@ -1296,9 +1280,12 @@ def run_fleet(
         single-process even when a pool is supplied, so serial
         baselines remain serial.
     unit_size:
-        Journeys per unit (mutually exclusive with ``num_shards``).
-        Smaller units steal better; larger units amortize per-unit
-        setup.
+        Journeys per unit.  Defaults to the dynamic plan of
+        :func:`plan_units` (several small units per worker).  Smaller
+        units steal better; larger units amortize per-unit setup.  The
+        merged result is bit-identical for every ``(workers,
+        unit_size)`` choice, including the unsharded single-process
+        engine.
 
     Returns
     -------
@@ -1310,8 +1297,7 @@ def run_fleet(
         raise ConfigurationError("workers must be positive")
     started = time.perf_counter()
     units = min(
-        plan_units(config, workers, num_shards=num_shards,
-                   unit_size=unit_size),
+        plan_units(config, workers, unit_size=unit_size),
         config.num_agents,
     )
     specs = split_fleet(config, units)

@@ -5,10 +5,7 @@ from __future__ import annotations
 import copy
 import json
 
-from repro.bench.harness import (
-    _compare_cluster_sections,
-    bench_cluster,
-)
+from repro.bench.harness import bench_cluster, compare_to_baseline
 from repro.sim.fleet import FleetConfig
 
 _TINY = FleetConfig(
@@ -18,7 +15,8 @@ _TINY = FleetConfig(
 
 
 def _report_around(section):
-    return {"schema": "test", "benchmarks": {"cluster": section}}
+    return {"schema": "test", "sections": ["cluster"],
+            "benchmarks": {"cluster": section}}
 
 
 class TestClusterSection:
@@ -80,16 +78,14 @@ class TestClusterBaselineGate:
 
     def test_identical_sections_pass(self):
         report = _report_around(copy.deepcopy(self._SECTION))
-        assert _compare_cluster_sections(
-            report, copy.deepcopy(report), 0.30
-        ) == []
+        assert compare_to_baseline(report, copy.deepcopy(report)) == []
 
     def test_throughput_regression_fails_either_leg(self):
         for leg in ("single", "scaled"):
             current = _report_around(copy.deepcopy(self._SECTION))
             baseline = copy.deepcopy(current)
             baseline["benchmarks"]["cluster"][leg]["rps"] *= 10
-            failures = _compare_cluster_sections(current, baseline, 0.30)
+            failures = compare_to_baseline(current, baseline, 0.30)
             assert any(
                 "cluster %s throughput regressed" % leg in failure
                 for failure in failures
@@ -97,8 +93,9 @@ class TestClusterBaselineGate:
 
     def test_dropped_cluster_section_fails(self):
         baseline = _report_around(copy.deepcopy(self._SECTION))
-        current = {"schema": "test", "benchmarks": {}}
-        failures = _compare_cluster_sections(current, baseline, 0.30)
+        current = {"schema": "test", "sections": ["cluster"],
+                   "benchmarks": {}}
+        failures = compare_to_baseline(current, baseline, 0.30)
         assert any("cluster section missing" in failure
                    for failure in failures)
 
@@ -106,7 +103,7 @@ class TestClusterBaselineGate:
         current = _report_around(copy.deepcopy(self._SECTION))
         baseline = copy.deepcopy(current)
         baseline["benchmarks"]["cluster"]["workload"]["num_agents"] = 999
-        failures = _compare_cluster_sections(current, baseline, 0.30)
+        failures = compare_to_baseline(current, baseline, 0.30)
         assert any("cluster workload mismatch" in failure
                    for failure in failures)
 
@@ -114,7 +111,7 @@ class TestClusterBaselineGate:
         current = _report_around(copy.deepcopy(self._SECTION))
         baseline = copy.deepcopy(current)
         baseline["benchmarks"]["cluster"]["verifiers"] = 5
-        failures = _compare_cluster_sections(current, baseline, 0.30)
+        failures = compare_to_baseline(current, baseline, 0.30)
         assert any("cluster verifier-count mismatch" in failure
                    for failure in failures)
 
@@ -124,4 +121,4 @@ class TestClusterBaselineGate:
         current = _report_around(copy.deepcopy(self._SECTION))
         baseline = copy.deepcopy(current)
         baseline["benchmarks"]["cluster"]["scaling_vs_single"] = 99.0
-        assert _compare_cluster_sections(current, baseline, 0.30) == []
+        assert compare_to_baseline(current, baseline, 0.30) == []

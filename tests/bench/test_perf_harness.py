@@ -10,6 +10,7 @@ import pytest
 from repro.bench.harness import (
     ALL_SECTIONS,
     BENCH_SCHEMA,
+    GATES,
     bench_campaign,
     bench_crypto_backends,
     bench_dsa_verification,
@@ -17,6 +18,7 @@ from repro.bench.harness import (
     build_report,
     collect_environment,
     compare_to_baseline,
+    evaluate_gates,
     format_speedup_warning,
     main,
 )
@@ -272,6 +274,155 @@ class TestCryptoSection:
         del current["benchmarks"]["crypto"]
         failures = compare_to_baseline(current, baseline)
         assert failures and "crypto section missing" in failures[0]
+
+
+def _put(node, dotted, value):
+    *parents, leaf = dotted.split(".")
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[leaf] = value
+
+
+def _get(node, dotted):
+    for part in dotted.split("."):
+        node = node[part]
+    return node
+
+
+#: CLI floor thresholds for the fabricated report below.
+_FLOORS = {gate.floor: 5.0 for gate in GATES if isinstance(gate.floor, str)}
+
+
+def _gated_report():
+    """A report holding every GATES metric at 10.0 and every pin at 7."""
+    report = {"schema": BENCH_SCHEMA, "sections": list(ALL_SECTIONS),
+              "benchmarks": {}}
+    for gate in GATES:
+        section = report["benchmarks"].setdefault(
+            gate.section, {"cpu_limited": False, "cpu_count": 1})
+        for pin in gate.pins:
+            _put(section, pin, 7)
+        _put(section, gate.metric.replace("*", "entry"), 10.0)
+    return report
+
+
+def _gate_id(gate):
+    return "%s:%s" % (gate.section, gate.metric)
+
+
+class TestGateTable:
+    """Every row of the declarative gate table, through the one
+    evaluator: identical reports pass, a value past the row's limit in
+    its direction fails, a changed pin refuses, and a missing current
+    entry fails or is skipped as the row says."""
+
+    @staticmethod
+    def _evaluate(current, baseline):
+        return evaluate_gates(current, baseline, max_regression=0.30,
+                              floors=_FLOORS)
+
+    @pytest.mark.parametrize("gate", GATES, ids=_gate_id)
+    def test_identical_report_passes(self, gate):
+        report = _gated_report()
+        assert self._evaluate(report, copy.deepcopy(report)) == ([], [])
+
+    @pytest.mark.parametrize("gate", GATES, ids=_gate_id)
+    def test_value_past_the_limit_fails(self, gate):
+        baseline = _gated_report()
+        path = "benchmarks.%s.%s" % (gate.section,
+                                     gate.metric.replace("*", "entry"))
+        higher = gate.better == "higher"
+        if gate.floor is None:
+            limit = 10.0 * (0.7 if higher else 1.3)
+        else:
+            limit = _FLOORS.get(gate.floor, gate.floor)
+        for factor, fails in ((0.9, higher), (1.1, not higher)):
+            current = copy.deepcopy(baseline)
+            _put(current, path, limit * factor)
+            failures, warnings = self._evaluate(current, baseline)
+            assert warnings == []
+            if fails:
+                assert len(failures) == 1
+                assert failures[0].startswith(gate.section)
+                assert ("regressed" if gate.floor is None
+                        else "missed its floor") in failures[0]
+            else:
+                assert failures == []
+            if fails and gate.waiver:
+                _put(current, "benchmarks.%s.%s" % (gate.section,
+                                                    gate.waiver), True)
+                failures, warnings = self._evaluate(current, baseline)
+                assert failures == []
+                assert len(warnings) == 1 and "cpu-limited" in warnings[0]
+
+    @pytest.mark.parametrize(
+        "gate, pin",
+        [(gate, pin) for gate in GATES for pin in gate.pins],
+        ids=lambda value: value if isinstance(value, str)
+        else _gate_id(value),
+    )
+    def test_changed_pin_refuses(self, gate, pin):
+        current = _gated_report()
+        baseline = copy.deepcopy(current)
+        _put(baseline["benchmarks"][gate.section], pin, 8)
+        # The refused section's regression must not be reported as one.
+        if gate.floor is None:
+            _put(baseline["benchmarks"][gate.section],
+                 gate.metric.replace("*", "entry"), 1000.0)
+        failures, _ = self._evaluate(current, baseline)
+        assert len(failures) == 1
+        assert failures[0].startswith(gate.section)
+        assert "mismatch on %s" % pin.rsplit(".", 1)[-1] in failures[0]
+
+    @pytest.mark.parametrize("gate", GATES, ids=_gate_id)
+    def test_missing_current_entry_fails_or_skips(self, gate):
+        baseline = _gated_report()
+        current = copy.deepcopy(baseline)
+        section = current["benchmarks"][gate.section]
+        *parents, leaf = gate.metric.replace("*", "entry").split(".")
+        del (_get(section, ".".join(parents)) if parents else section)[leaf]
+        failures, _ = self._evaluate(current, baseline)
+        if gate.missing == "fail":
+            assert len(failures) == 1
+            assert "missing from current report" in failures[0]
+        else:
+            assert failures == []
+
+    def test_one_refusal_does_not_mask_other_sections(self):
+        current = _gated_report()
+        baseline = copy.deepcopy(current)
+        baseline["benchmarks"]["fleet"]["seed"] = 8
+        baseline["benchmarks"]["service"]["batched"]["rps"] *= 10
+        failures = compare_to_baseline(current, baseline)
+        assert any("fleet workload mismatch on seed" in failure
+                   for failure in failures)
+        assert any("service batched throughput regressed" in failure
+                   for failure in failures)
+        # A dropped fleet section masks nothing either.
+        del current["benchmarks"]["fleet"]
+        failures = compare_to_baseline(current, baseline)
+        assert any("fleet section missing" in failure
+                   for failure in failures)
+        assert any("service batched throughput regressed" in failure
+                   for failure in failures)
+
+    @pytest.mark.parametrize("section", sorted({g.section for g in GATES}))
+    def test_requested_section_absent_from_baseline_fails(self, section):
+        current = _gated_report()
+        baseline = copy.deepcopy(current)
+        del baseline["benchmarks"][section]
+        failures = compare_to_baseline(current, baseline)
+        assert failures == [failures[0]]
+        assert "baseline has no %s section" % section in failures[0]
+
+    def test_floors_are_disabled_by_none_or_negative_thresholds(self):
+        current = _gated_report()
+        for gate in GATES:
+            if isinstance(gate.floor, str):
+                _put(current["benchmarks"][gate.section], gate.metric, 0.0)
+        for value in (None, -1.0):
+            floors = dict.fromkeys(_FLOORS, value)
+            assert evaluate_gates(current, floors=floors) == ([], [])
 
 
 class TestSpeedupWarning:

@@ -158,23 +158,18 @@ class TestPublicSurface:
         assert repro.ServiceConfig is repro.service.ServiceConfig
         assert repro.ClusterConfig is repro.service.ClusterConfig
 
-    def test_deprecated_names_still_work_but_warn(self):
+    def test_removed_package_aliases_raise_attribute_error(self):
         import repro.service as service
 
         for name in ("ServiceClient", "connect_with_retry",
                      "ServiceResponseError"):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                attribute = getattr(service, name)
-            assert attribute is not None
-            assert any(
-                issubclass(warning.category, DeprecationWarning)
-                for warning in caught
-            ), name
+            assert name not in service.__all__
+            with pytest.raises(AttributeError):
+                getattr(service, name)
 
     def test_implementation_module_imports_stay_warning_free(self):
-        # Internal call sites import from repro.service.client directly;
-        # only the package-level facade access warns.
+        # The gateway imports the wire client from its implementation
+        # module; that import stays available and warning-free.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             from repro.service.client import ServiceClient  # noqa: F401

@@ -195,7 +195,7 @@ class TestTraceRoundTrip:
     def merged_trace(self, tmp_path_factory):
         path = str(tmp_path_factory.mktemp("campaign") / "campaign.jsonl")
         config = _config(trace_path=path)
-        campaign = run_campaign(config, workers=2, num_shards=2)
+        campaign = run_campaign(config, workers=2, unit_size=20)
         return campaign, read_trace(path)
 
     def test_attack_events_cover_exactly_the_attacked_journeys(

@@ -1,6 +1,6 @@
 """Sharded fleet execution: the merge must be invisible.
 
-The contract under test: for the same seed, every ``(num_shards,
+The contract under test: for the same seed, every ``(unit_size,
 workers)`` execution strategy — including the unsharded single-process
 engine — produces the same deterministic result signature and the same
 merged JSONL trace bytes.  Plus the plumbing around it: partition
@@ -91,7 +91,7 @@ class TestShardDeterminism:
         plain_result, plain_trace = single_process
         path = str(tmp_path / "merged.jsonl")
         merged = run_fleet(
-            _config(trace_path=path), workers=workers, num_shards=4
+            _config(trace_path=path), workers=workers, unit_size=6
         )
         assert (merged.deterministic_signature()
                 == plain_result.deterministic_signature())
@@ -100,14 +100,14 @@ class TestShardDeterminism:
 
     def test_shard_count_does_not_change_the_result(self, single_process):
         plain_result, _ = single_process
-        for num_shards in (2, 3):
-            merged = run_fleet(_config(), workers=1, num_shards=num_shards)
+        for unit_size in (12, 8):  # 2 and 3 units of the 24 journeys
+            merged = run_fleet(_config(), workers=1, unit_size=unit_size)
             assert (merged.deterministic_signature()
                     == plain_result.deterministic_signature())
 
     def test_merged_aggregates_add_up(self, single_process):
         plain_result, _ = single_process
-        merged = run_fleet(_config(), workers=1, num_shards=3)
+        merged = run_fleet(_config(), workers=1, unit_size=8)
         assert merged.journeys == plain_result.journeys
         assert merged.events_processed == plain_result.events_processed
         assert merged.virtual_makespan == plain_result.virtual_makespan
@@ -116,7 +116,7 @@ class TestShardDeterminism:
 
     def test_per_shard_trace_files_are_written(self, tmp_path):
         path = str(tmp_path / "fleet.jsonl")
-        run_fleet(_config(trace_path=path), workers=1, num_shards=2)
+        run_fleet(_config(trace_path=path), workers=1, unit_size=12)
         for index in range(2):
             shard_file = shard_trace_path(path, index, 2)
             with open(shard_file, "r", encoding="utf-8") as handle:
@@ -161,7 +161,7 @@ class TestCampaignShardDeterminism:
         path = str(tmp_path / "merged.jsonl")
         merged = run_fleet(
             self._campaign_config(trace_path=path),
-            workers=workers, num_shards=4,
+            workers=workers, unit_size=6,
         )
         assert (merged.deterministic_signature()
                 == plain_result.deterministic_signature())
@@ -176,7 +176,7 @@ class TestCampaignShardDeterminism:
         self, single_process_campaign
     ):
         plain_result, _ = single_process_campaign
-        merged = run_fleet(self._campaign_config(), workers=1, num_shards=3)
+        merged = run_fleet(self._campaign_config(), workers=1, unit_size=8)
         assert merged.shards is not None
         per_shard = [shard["campaign_attacked"] for shard in merged.shards]
         assert sum(per_shard) == len(plain_result.campaign_journeys)
@@ -242,9 +242,6 @@ class TestPartialEngine:
 
 
 class TestPlanUnits:
-    def test_explicit_shards_win(self):
-        assert plan_units(_config(), workers=4, num_shards=3) == 3
-
     def test_unit_size_rounds_up(self):
         assert plan_units(_config(), workers=2, unit_size=7) == 4
         assert plan_units(_config(), workers=2, unit_size=24) == 1
@@ -256,9 +253,7 @@ class TestPlanUnits:
         assert plan_units(_config(), workers=2) == 8
         assert plan_units(_config(num_agents=5), workers=4) == 5
 
-    def test_conflicting_knobs_are_rejected(self):
-        with pytest.raises(ConfigurationError):
-            plan_units(_config(), workers=2, num_shards=4, unit_size=7)
+    def test_nonpositive_unit_size_is_rejected(self):
         with pytest.raises(ConfigurationError):
             plan_units(_config(), workers=2, unit_size=0)
 
@@ -271,7 +266,7 @@ class TestObservabilityPlumbing:
 
     def test_clean_run_reports_empty_trace_losses(self, tmp_path):
         path = str(tmp_path / "fleet.jsonl")
-        result = run_fleet(_config(trace_path=path), workers=2, num_shards=4)
+        result = run_fleet(_config(trace_path=path), workers=2, unit_size=6)
         report = result.worker_report
         assert report["trace_losses"] == {}
         assert report["supervision"]["trace_losses"] == {}
@@ -315,7 +310,7 @@ class TestObservabilityPlumbing:
     def test_worker_report_carries_merged_telemetry(self):
         from repro.obs import TELEMETRY_SCHEMA
 
-        result = run_fleet(_config(), workers=2, num_shards=4)
+        result = run_fleet(_config(), workers=2, unit_size=6)
         telemetry = result.worker_report["telemetry"]
         assert telemetry is not None
         assert telemetry["schema"] == TELEMETRY_SCHEMA
